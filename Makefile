@@ -140,6 +140,7 @@ fuzz:
 	$(GO) test -fuzz FuzzOpenSnapshot -fuzztime 5s ./internal/core/
 	$(GO) test -fuzz FuzzGridRange -fuzztime 5s ./internal/geo/
 	$(GO) test -fuzz FuzzGridNearest -fuzztime 5s ./internal/geo/
+	$(GO) test -fuzz FuzzParseNodes -fuzztime 5s ./internal/serve/
 
 clean:
 	rm -rf figures

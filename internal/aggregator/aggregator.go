@@ -94,9 +94,16 @@ type Binary struct {
 	// the open window, and marked lists the set positions so the window
 	// reset touches O(reported) cells instead of clearing a map. Window
 	// close is then a single ordered pass over cfg.Members with no hashing.
+	// Callers that already know the position (the sharded engine) skip
+	// the hash through DeliverAt.
 	memberPos map[int]int
 	marks     []bool
 	marked    []int
+
+	// expire is closeWindow bound once at construction: a method value
+	// allocates a closure each time it is evaluated, so opening a window
+	// hands the clock this field instead.
+	expire func()
 
 	// scrR and scrNR are the per-window R/NR scratch slices, reused
 	// across windows: every consumer of the two sides (Arbitrate and
@@ -128,7 +135,7 @@ func NewBinary(cfg BinaryConfig, scheme decision.Scheme, clock Clock,
 	for i, id := range members {
 		memberPos[id] = i
 	}
-	return &Binary{
+	b := &Binary{
 		pipeline: pipeline{
 			scheme:   scheme,
 			clock:    clock,
@@ -142,7 +149,9 @@ func NewBinary(cfg BinaryConfig, scheme decision.Scheme, clock Clock,
 		marked:    make([]int, 0, len(members)),
 		scrR:      make([]int, 0, len(cfg.Members)),
 		scrNR:     make([]int, 0, len(cfg.Members)),
-	}, nil
+	}
+	b.expire = b.closeWindow
+	return b, nil
 }
 
 // Windows returns how many aggregation windows have completed.
@@ -150,17 +159,46 @@ func (b *Binary) Windows() int { return b.decided }
 
 // Deliver hands the aggregator one event report that survived the channel.
 // The first report of a window opens it and schedules the T_out expiry.
+// A report from outside cfg.Members still opens the window but casts no
+// vote.
+//
+//hot:path
 func (b *Binary) Deliver(nodeID int) {
+	pos, ok := b.memberPos[nodeID]
+	if !ok {
+		pos = -1
+	}
+	b.deliver(nodeID, pos)
+}
+
+// DeliverAt is Deliver for the member at index pos of cfg.Members, for
+// callers that already hold the position and so skip the memberPos
+// lookup. pos must be in [0, len(cfg.Members)).
+//
+//hot:path
+func (b *Binary) DeliverAt(pos int) {
+	b.deliver(b.cfg.Members[pos], pos)
+}
+
+// deliver marks nodeID, at member position pos (-1 for a non-member), in
+// the open window, opening one first if none is. A report into an
+// already-open window allocates nothing.
+func (b *Binary) deliver(nodeID, pos int) {
 	if b.closed {
 		return
 	}
 	if b.scheme.Isolated(nodeID) {
 		return // the sink no longer listens to isolated nodes
 	}
-	b.openWindow(b.cfg.Tout, b.closeWindow)
-	if pos, ok := b.memberPos[nodeID]; ok && !b.marks[pos] {
+	if !b.windowOpen {
+		b.openWindow(b.cfg.Tout, b.expire)
+	}
+	if pos >= 0 && !b.marks[pos] {
 		b.marks[pos] = true
 		b.marked = append(b.marked, pos)
+	}
+	if b.tr == nil {
+		return // untraced (the serving path): skip two calls per report
 	}
 	if b.tr.Verbose() {
 		b.tr.Emit(float64(b.clock.Now()), trace.KindReportDelivered, nodeID, "binary report")

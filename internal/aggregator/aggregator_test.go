@@ -1,6 +1,7 @@
 package aggregator
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/tibfit/tibfit/internal/core"
@@ -208,3 +209,37 @@ func TestPosMap(t *testing.T) {
 var _ Positions = PosMap(nil) // interface compliance
 
 var _ = geo.Point{} // keep geo import for the location tests in this package
+
+// TestBinaryDeliverAtMatchesDeliver pins DeliverAt(pos) as Deliver of
+// the member at cfg.Members[pos]: same windows, same decisions.
+func TestBinaryDeliverAtMatchesDeliver(t *testing.T) {
+	members := []int{40, 10, 30, 20}
+	posOf := map[int]int{40: 0, 10: 1, 30: 2, 20: 3}
+	byID, _, kID, outID := newBinaryHarness(t, members)
+	byPos, _, kPos, outPos := newBinaryHarness(t, members)
+	for _, reporters := range [][]int{{10, 30}, {40}, {20, 20, 10, 40}} {
+		for _, id := range reporters {
+			byID.Deliver(id)
+			byPos.DeliverAt(posOf[id])
+		}
+		kID.RunAll()
+		kPos.RunAll()
+	}
+	if len(*outID) != 3 || !reflect.DeepEqual(*outID, *outPos) {
+		t.Fatalf("Deliver made %v, DeliverAt %v", *outID, *outPos)
+	}
+}
+
+// TestBinaryDeliverIntoOpenWindowAllocatesNothing is the allocation
+// backstop for the per-report path: once a window is open, a report —
+// by ID or by member position — only marks its reporter.
+func TestBinaryDeliverIntoOpenWindowAllocatesNothing(t *testing.T) {
+	b, _, _, _ := newBinaryHarness(t, []int{0, 1, 2, 3, 4, 5, 6, 7})
+	b.Deliver(0) // opens the window; the kernel never drains it here
+	if allocs := testing.AllocsPerRun(100, func() { b.Deliver(3) }); allocs != 0 {
+		t.Fatalf("Deliver into an open window allocates %v times, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { b.DeliverAt(5) }); allocs != 0 {
+		t.Fatalf("DeliverAt into an open window allocates %v times, want 0", allocs)
+	}
+}

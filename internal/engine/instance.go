@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -12,7 +13,6 @@ import (
 	"github.com/tibfit/tibfit/internal/decision"
 	"github.com/tibfit/tibfit/internal/leach"
 	"github.com/tibfit/tibfit/internal/sim"
-	"github.com/tibfit/tibfit/internal/sparse"
 )
 
 // ErrClosed is returned by operations on a closed instance.
@@ -127,17 +127,24 @@ type BatchResult struct {
 // The member population is partitioned into Config.Shards event
 // locations (paper §3: aggregation windows close per location), each a
 // single-writer shard owning its own scheme state, window, and lock.
-// Reports route to their node's shard by binary search and contend only
-// with reports for the same location; window expiries fire through the
-// tenant's one clock, whose single-drain (deadline, seq) order is what
-// fans all shards' decisions into one totally-ordered ring. All methods
-// are safe for concurrent use.
+// Reports route by one lookup of the node's index in the sorted
+// population, which yields both its shard and its position inside it,
+// and contend only with reports for the same location; window expiries
+// fire through the tenant's one clock, whose single-drain (deadline,
+// seq) order is what fans all shards' decisions into one
+// totally-ordered ring. All methods are safe for concurrent use.
 type Instance struct {
-	shards  []*shard
-	shardOf sparse.Vector[int32] // member ID -> shard index
-	clock   Clock
+	shards []*shard
+	clock  Clock
 
-	members []int // sorted copy of the full population
+	members []int   // sorted copy of the full population
+	places  []place // places[i] locates members[i]
+	// dense is true when members are consecutive IDs, as in a tenant
+	// built from a node count: a member's index is then arithmetic.
+	dense bool
+
+	// routes recycles ReportMany's per-batch routing scratch.
+	routes sync.Pool
 
 	// stateMu serializes snapshot/restore against each other; each walks
 	// the shards in index order under stateMu -> shard.mu.
@@ -197,10 +204,38 @@ func New(cfg Config) (*Instance, error) {
 	}
 	in.members = append([]int(nil), cfg.Members...)
 	sort.Ints(in.members)
+	in.places = make([]place, len(in.members))
+	in.dense = true
 	for i, id := range in.members {
-		*in.shardOf.Upsert(id) = int32(i % len(in.shards))
+		// ShardMembers deals sorted member i to shard i mod S, position i / S.
+		in.places[i] = place{shard: int32(i % len(in.shards)), pos: int32(i / len(in.shards))}
+		in.dense = in.dense && id == in.members[0]+i
 	}
+	in.routes.New = func() any { return newRouteScratch(len(in.shards)) }
 	return in, nil
+}
+
+// place is where a member lives: its shard, and its position within
+// that shard's members (the index Binary.DeliverAt takes).
+type place struct{ shard, pos int32 }
+
+// route locates a member by its index in the sorted population —
+// arithmetic for a dense population, one binary search otherwise; ok is
+// false for a node outside it.
+//
+//hot:path
+func (in *Instance) route(node int) (p place, ok bool) {
+	var i int
+	if in.dense {
+		i = node - in.members[0]
+		ok = uint(i) < uint(len(in.members))
+	} else {
+		i, ok = slices.BinarySearch(in.members, node)
+	}
+	if !ok {
+		return place{}, false
+	}
+	return in.places[i], true
 }
 
 // recordDecision appends a completed window to the decision ring. It runs
@@ -239,38 +274,129 @@ func (in *Instance) recordDecision(o aggregator.BinaryOutcome) {
 //
 //hot:path
 func (in *Instance) Report(node int) error {
-	s, ok := in.shardOf.Get(node)
+	p, ok := in.route(node)
 	if !ok {
 		if in.closed.Load() {
 			return ErrClosed
 		}
 		return ErrUnknownNode
 	}
-	sh := in.shards[s]
+	sh := in.shards[p.shard]
 	sh.mu.Lock()
 	if in.closed.Load() {
 		sh.mu.Unlock()
 		return ErrClosed
 	}
-	sh.agg.Deliver(node)
+	sh.agg.DeliverAt(int(p.pos))
 	sh.mu.Unlock()
 	in.reports.Add(1)
 	return nil
 }
 
-// ReportMany ingests a batch — the bulk path the HTTP layer uses. Runs of
-// consecutive same-shard reports share one lock acquisition, so a batch
-// costs O(runs) lock operations rather than O(len). Unknown nodes are
-// skipped (the batch continues; the serving layer returns partial
-// accept); a closed instance aborts the remainder. The result carries
-// the accepted count and the first rejection.
+// routeScratch is one ReportMany call's routing state, pooled per
+// instance so a warm batch allocates nothing. Pass 1 routes every known
+// report into routed, in batch order, and counts each shard's share;
+// bucket then groups the routes by shard (a counting sort, so each group
+// keeps batch order) for pass 2 to deliver group by group.
+type routeScratch struct {
+	routed []dest
+	bucket []dest
+	// Per shard: report count, end offset of its group in bucket, batch
+	// index of its first report, and the expiry of a window the batch
+	// opened. order lists the shards present, in order of first
+	// appearance.
+	count, end, first []int32
+	held              []heldExpiry
+	order             []int32
+}
+
+// dest is one known report's place and its index in the batch.
+type dest struct {
+	place
+	idx int32
+}
+
+func newRouteScratch(shards int) *routeScratch {
+	return &routeScratch{
+		routed: make([]dest, 0, 256),
+		bucket: make([]dest, 0, 256),
+		count:  make([]int32, shards),
+		end:    make([]int32, shards),
+		first:  make([]int32, shards),
+		held:   make([]heldExpiry, shards),
+		order:  make([]int32, 0, shards),
+	}
+}
+
+// ReportMany ingests a batch — the bulk path the HTTP layer uses. Each
+// report is routed once; then each shard present in the batch is locked
+// once, in the order of its first report, and receives its reports in
+// batch order. The result is the per-report stream's (docs/DETERMINISM.md,
+// invariant 9): no window closes during a call (expiries fire only in
+// clock drains) and isolation changes only at close, so within a shard
+// every report sees the state it would have seen one call at a time,
+// and across shards the only ordering that shows is the clock's schedule
+// order of window expiries — which the batch fixes by holding each
+// expiry it opens and scheduling them afterwards in the order of the
+// reports that opened them. Unknown nodes are skipped (the batch
+// continues; the serving layer returns partial accept); a closed
+// instance aborts the remainder. The result carries the accepted count
+// and the first rejection.
 //
 //hot:path
 func (in *Instance) ReportMany(nodes []int) BatchResult {
+	sc := in.routes.Get().(*routeScratch)
+	defer in.routes.Put(sc)
+	res := sc.routeAll(in, nodes)
+
+	// Pass 2: one lock per shard present.
+	visited := 0
+	for _, s := range sc.order {
+		sh := in.shards[s]
+		sh.mu.Lock()
+		if in.closed.Load() {
+			sh.mu.Unlock()
+			// Every report from here on is undelivered; the earliest is
+			// this shard's first.
+			if res.Err == nil || int(sc.first[s]) < res.FirstErr {
+				res.FirstErr, res.Err = int(sc.first[s]), ErrClosed
+			}
+			break
+		}
+		h := &sc.held[s]
+		h.fn = nil
+		sh.opening = h
+		for _, r := range sc.bucket[sc.end[s]-sc.count[s] : sc.end[s]] {
+			if h.fn == nil {
+				h.by = r.idx
+			}
+			sh.agg.DeliverAt(int(r.pos))
+		}
+		sh.opening = nil
+		sh.mu.Unlock()
+		res.Accepted += int(sc.count[s])
+		visited++
+	}
+	sc.scheduleHeld(in, sc.order[:visited])
+	if res.Accepted > 0 {
+		in.reports.Add(uint64(res.Accepted))
+	}
+	return res
+}
+
+// routeAll is ReportMany's pass 1: it routes every report, records the
+// first rejection, and groups the routes by shard in first-appearance
+// order. A closed instance stops routing at its first unknown node, the
+// point where the per-report path would first notice it.
+//
+//hot:path
+func (sc *routeScratch) routeAll(in *Instance, nodes []int) BatchResult {
 	res := BatchResult{FirstErr: -1}
-	i := 0
-	for i < len(nodes) {
-		s, ok := in.shardOf.Get(nodes[i])
+	sc.routed = sc.routed[:0]
+	sc.order = sc.order[:0]
+	clear(sc.count)
+	for i, node := range nodes {
+		p, ok := in.route(node)
 		if !ok {
 			if in.closed.Load() {
 				if res.Err == nil {
@@ -281,33 +407,56 @@ func (in *Instance) ReportMany(nodes []int) BatchResult {
 			if res.Err == nil {
 				res.FirstErr, res.Err = i, ErrUnknownNode
 			}
-			i++
 			continue
 		}
-		sh := in.shards[s]
-		sh.mu.Lock()
-		if in.closed.Load() {
-			sh.mu.Unlock()
-			if res.Err == nil {
-				res.FirstErr, res.Err = i, ErrClosed
-			}
-			break
+		if sc.count[p.shard] == 0 {
+			sc.first[p.shard] = int32(i)
+			sc.order = append(sc.order, p.shard)
 		}
-		for i < len(nodes) {
-			s2, ok2 := in.shardOf.Get(nodes[i])
-			if !ok2 || s2 != s {
-				break
-			}
-			sh.agg.Deliver(nodes[i])
-			res.Accepted++
-			i++
-		}
-		sh.mu.Unlock()
+		sc.count[p.shard]++
+		sc.routed = append(sc.routed, dest{place: p, idx: int32(i)})
 	}
-	if res.Accepted > 0 {
-		in.reports.Add(uint64(res.Accepted))
+
+	var off int32
+	for _, s := range sc.order {
+		sc.end[s] = off
+		off += sc.count[s]
+	}
+	sc.bucket = slices.Grow(sc.bucket[:0], len(sc.routed))[:len(sc.routed)]
+	for _, r := range sc.routed {
+		sc.bucket[sc.end[r.shard]] = r
+		sc.end[r.shard]++
 	}
 	return res
+}
+
+// scheduleHeld hands the clock the window expiries a batch caught, in
+// the batch order of the reports that opened the windows. That order is
+// usually the visit order already; it differs only when a shard's first
+// report in the batch came from an isolated node, which opens nothing.
+// Each delay is shortened by the clock time spent since the window
+// opened, so the deadline stays T_out after the window's trigger.
+//
+//hot:path
+func (sc *routeScratch) scheduleHeld(in *Instance, visited []int32) {
+	n := 0
+	for _, s := range visited {
+		if sc.held[s].fn != nil {
+			visited[n] = s
+			n++
+		}
+	}
+	opened := visited[:n]
+	for i := 1; i < len(opened); i++ {
+		for j := i; j > 0 && sc.held[opened[j]].by < sc.held[opened[j-1]].by; j-- {
+			opened[j], opened[j-1] = opened[j-1], opened[j]
+		}
+	}
+	for _, s := range opened {
+		h := &sc.held[s]
+		shardClock{in: in, sh: in.shards[s]}.expireAfter(h.d-in.clock.Now().Sub(h.asked), h.fn)
+		h.fn = nil
+	}
 }
 
 // SealedSnapshot captures the tenant's trust state as a sealed blob —
@@ -420,8 +569,8 @@ func (in *Instance) SchemeName() string { return in.shards[0].scheme.Name() }
 // same value the single-lock instance reported.
 func (in *Instance) TI(node int) float64 {
 	sh := in.shards[0]
-	if s, ok := in.shardOf.Get(node); ok {
-		sh = in.shards[s]
+	if p, ok := in.route(node); ok {
+		sh = in.shards[p.shard]
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()

@@ -369,8 +369,11 @@ func TestInstanceRejectsUnknownNodeAndClosed(t *testing.T) {
 	if err := inst.Report(0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("closed: err = %v, want ErrClosed", err)
 	}
-	if res := inst.ReportMany([]int{0, 1}); res.Accepted != 0 || !errors.Is(res.Err, ErrClosed) {
-		t.Fatalf("closed batch: ReportMany = %+v, want Accepted 0, ErrClosed", res)
+	// A closed instance rejects a batch from its first row, member or not.
+	for _, batch := range [][]int{{0, 1}, {2, 99, 1}, {99, 2, 1}} {
+		if res := inst.ReportMany(batch); res.Accepted != 0 || res.FirstErr != 0 || !errors.Is(res.Err, ErrClosed) {
+			t.Fatalf("closed batch %v: ReportMany = %+v, want Accepted 0, FirstErr 0, ErrClosed", batch, res)
+		}
 	}
 	if _, err := inst.SealedSnapshot(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("closed snapshot: err = %v, want ErrClosed", err)

@@ -29,6 +29,20 @@ type shard struct {
 	// globally-sorted member at index k*S+s lives at position k of shard
 	// s, which is how TrustTable places rows without re-sorting.
 	members []int
+	// opening, non-nil only while ReportMany holds mu, catches the expiry
+	// of a window the batch opens so the batch can schedule it later, in
+	// the order of the report that opened it.
+	opening *heldExpiry
+}
+
+// heldExpiry is a window expiry ReportMany has caught but not yet handed
+// to the clock: the requested delay, the callback, the clock time of the
+// request, and the batch index of the report that opened the window.
+type heldExpiry struct {
+	d     sim.Duration
+	fn    func()
+	asked sim.Time
+	by    int32
 }
 
 // shardClock adapts the tenant's Clock for one shard: expiry callbacks
@@ -45,6 +59,16 @@ type shardClock struct {
 func (c shardClock) Now() sim.Time { return c.in.clock.Now() }
 
 func (c shardClock) AfterFunc(d sim.Duration, fn func()) {
+	if h := c.sh.opening; h != nil {
+		h.d, h.fn, h.asked = d, fn, c.in.clock.Now()
+		return
+	}
+	c.expireAfter(d, fn)
+}
+
+// expireAfter schedules fn on the tenant clock, wrapped to run under the
+// shard's lock and to die with the instance.
+func (c shardClock) expireAfter(d sim.Duration, fn func()) {
 	in, sh := c.in, c.sh
 	in.clock.AfterFunc(d, func() {
 		sh.mu.Lock()

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -175,6 +176,170 @@ func TestShardedEngineMatchesBatchSim(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBatchIngestMatchesReportStream pins ReportMany's one-lock-per-
+// shard delivery against the per-report path, for every registered
+// scheme on the sim kernel and for both member lookups (a dense ID range
+// and a sparse one): each instant's reports go to one instance as a
+// single interleaved cross-shard batch — duplicates and unknown IDs
+// mixed in — and to a twin instance one Report call at a time. Visiting
+// shards in first-appearance order must open windows and schedule their
+// expiries exactly as the per-report stream does, so decisions (seqs and
+// timestamps included) and trust tables must be bit-identical, and each
+// BatchResult must honour the partial-accept contract.
+func TestBatchIngestMatchesReportStream(t *testing.T) {
+	const (
+		nShards  = 4
+		instants = 300
+		tout     = sim.Duration(0.7)
+	)
+	populations := []struct {
+		name             string
+		members, unknown []int
+	}{
+		{"dense", members(11), []int{11, 12, -1}},
+		{"sparse", []int{89, 2, 3, 5, 8, 13, 21, 34, 55, 144, 233}, []int{4, 1000, -1}},
+	}
+	for _, pop := range populations {
+		for _, name := range decision.Names() {
+			t.Run(pop.name+"/"+name, func(t *testing.T) {
+				build := func() (*Instance, *sim.Kernel) {
+					k := sim.New()
+					inst, err := New(Config{
+						Scheme:  name,
+						Params:  engineParams(),
+						Tout:    tout,
+						Members: pop.members,
+						Shards:  nShards,
+						Clock:   k,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return inst, k
+				}
+				batched, kb := build()
+				defer batched.Close()
+				single, ks := build()
+				defer single.Close()
+
+				ids := append(append([]int(nil), pop.members...), pop.unknown...)
+				src := rng.New(44)
+				batch := make([]int, 0, 24)
+				for step := 0; step < instants; step++ {
+					at := sim.Time(0.25 * float64(step))
+					batch = batch[:0]
+					for n := 1 + src.Intn(24); n > 0; n-- {
+						batch = append(batch, ids[src.Intn(len(ids))])
+					}
+					kb.Run(at)
+					ks.Run(at)
+
+					want := BatchResult{FirstErr: -1}
+					for i, node := range batch {
+						err := single.Report(node)
+						switch {
+						case err == nil:
+							want.Accepted++
+						case errors.Is(err, ErrUnknownNode):
+							if want.Err == nil {
+								want.FirstErr, want.Err = i, err
+							}
+						default:
+							t.Fatalf("Report(%d): %v", node, err)
+						}
+					}
+					if got := batched.ReportMany(batch); got != want {
+						t.Fatalf("instant %d: ReportMany(%v) = %+v, want %+v", step, batch, got, want)
+					}
+				}
+				kb.RunAll()
+				ks.RunAll()
+
+				got, want := batched.DecisionsSince(0), single.DecisionsSince(0)
+				if len(want) == 0 {
+					t.Fatal("the stream made no decisions")
+				}
+				if !reflect.DeepEqual(got, want) {
+					for i := range want {
+						if i >= len(got) || !reflect.DeepEqual(got[i], want[i]) {
+							t.Fatalf("decision %d diverges (%d batched, %d single):\n batched %+v\n single  %+v",
+								i, len(got), len(want), got[min(i, len(got)-1)], want[i])
+						}
+					}
+					t.Fatalf("batched made %d decisions, single %d", len(got), len(want))
+				}
+				if gt, wt := batched.TrustTable(), single.TrustTable(); !reflect.DeepEqual(gt, wt) {
+					t.Fatalf("trust tables diverge:\n batched %+v\n single  %+v", gt, wt)
+				}
+				if got, want := batched.ReportCount(), single.ReportCount(); got != want {
+					t.Fatalf("ReportCount: batched %d, single %d", got, want)
+				}
+			})
+		}
+	}
+}
+
+// TestRouteDenseAndSparse pins member lookup for both populations: every
+// member routes to the shard and position ShardMembers gives it, and
+// every non-member is rejected.
+func TestRouteDenseAndSparse(t *testing.T) {
+	for _, pop := range [][]int{members(9), {40, 7, 12, 3, 99, 8, 61}, {5, 6, 7, 9}} {
+		inst, err := New(Config{Scheme: decision.SchemeTIBFIT, Params: engineParams(), Tout: 1,
+			Members: pop, Shards: 3, Clock: sim.New()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		member := map[int]bool{}
+		for s, part := range ShardMembers(pop, 3) {
+			for pos, id := range part {
+				member[id] = true
+				if p, ok := inst.route(id); !ok || p != (place{shard: int32(s), pos: int32(pos)}) {
+					t.Fatalf("members %v: route(%d) = %+v, %v; want shard %d pos %d", pop, id, p, ok, s, pos)
+				}
+			}
+		}
+		for id := -2; id <= 101; id++ {
+			if _, ok := inst.route(id); ok != member[id] {
+				t.Fatalf("members %v: route(%d) ok = %v, want %v", pop, id, ok, member[id])
+			}
+		}
+		inst.Close()
+	}
+}
+
+// TestReportManyWarmAllocatesNothing is the allocation backstop for
+// batch ingest: once every shard's window is open and the routing
+// scratch is warm, a batch — cross-shard, with duplicates and an
+// unknown row — performs no heap allocation at all.
+func TestReportManyWarmAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	k := sim.New()
+	inst, err := New(Config{
+		Scheme:  decision.SchemeTIBFIT,
+		Params:  engineParams(),
+		Tout:    5,
+		Members: members(32),
+		Shards:  4,
+		Clock:   k,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Close()
+	batch := make([]int, 0, 256)
+	for i := 0; i < 256; i++ {
+		batch = append(batch, (i*7)%32)
+	}
+	batch[100] = 1000
+	inst.ReportMany(batch) // opens every shard's window; no clock drain follows
+	allocs := testing.AllocsPerRun(100, func() { inst.ReportMany(batch) })
+	if allocs != 0 {
+		t.Fatalf("warm ReportMany allocates %v times per batch, want 0", allocs)
 	}
 }
 

@@ -146,6 +146,7 @@ func (w *WallClock) rearmLocked() {
 		delay = 0
 	}
 	if w.timer == nil {
+		//lint:allow hotalloc the timer is created once; every later arm is a Reset
 		w.timer = time.AfterFunc(delay, w.fire)
 		return
 	}

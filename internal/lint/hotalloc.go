@@ -35,8 +35,10 @@ var HotAlloc = &analysis.Analyzer{
 		"lazily-called one-time setup whose allocations are not per-event.\n" +
 		"Inside hot code the analyzer flags heap-escaping\n" +
 		"composite literals, map and channel allocation, append to a local\n" +
-		"slice made without capacity, boxing into ...interface{}, and any fmt\n" +
-		"call. Deliberate one-time allocations take //lint:allow hotalloc.",
+		"slice made without capacity, boxing into ...interface{}, any fmt\n" +
+		"call, and method values outside call position (b.closeWindow passed\n" +
+		"as a func() builds a closure each time it is evaluated). Deliberate\n" +
+		"one-time allocations take //lint:allow hotalloc.",
 	FactTypes: []analysis.Fact{(*registersHandlerFact)(nil)},
 	Run:       runHotAlloc,
 }
@@ -255,9 +257,15 @@ func staticFuncValue(info *types.Info, expr ast.Expr) *types.Func {
 // function body.
 func checkHotBody(pass *analysis.Pass, body *ast.BlockStmt, name, why string) {
 	// Local slices made with an explicit capacity are the sanctioned
-	// append targets; collect them first.
+	// append targets, and selectors in call position are method calls,
+	// not method values; collect both first.
 	withCap := map[types.Object]bool{}
+	called := map[ast.Expr]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			called[ast.Unparen(call.Fun)] = true
+			return true
+		}
 		assign, ok := n.(*ast.AssignStmt)
 		if !ok || len(assign.Lhs) != len(assign.Rhs) {
 			return true
@@ -279,6 +287,12 @@ func checkHotBody(pass *analysis.Pass, body *ast.BlockStmt, name, why string) {
 	reported := map[ast.Node]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch v := n.(type) {
+		case *ast.SelectorExpr:
+			if sel := pass.TypesInfo.Selections[v]; sel != nil && sel.Kind() == types.MethodVal && !called[v] {
+				pass.Reportf(v.Pos(),
+					"method value %s allocates a closure in hot path %s (%s); bind it once outside the per-event path",
+					types.ExprString(v), name, why)
+			}
 		case *ast.UnaryExpr:
 			if v.Op != token.AND {
 				return true

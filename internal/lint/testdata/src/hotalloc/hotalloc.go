@@ -77,6 +77,49 @@ func (t *table) scratch(in []int, id int) []int {
 	return sized
 }
 
+// window reproduces the binary aggregator's window-open idiom: the
+// expiry callback handed to the clock on every report.
+type window struct {
+	open   bool
+	expire func()
+	timers []func()
+}
+
+// openWindow is hot by propagation; storing the callback allocates
+// nothing by itself.
+func (w *window) openWindow(tout int, fn func()) {
+	if w.open {
+		return
+	}
+	w.open = true
+	w.timers = append(w.timers, fn)
+	_ = tout
+}
+
+func (w *window) closeWindow() { w.open = false }
+
+// deliver passes a method value per report — the closure the rule
+// catches — beside the sanctioned forms: a callback bound once at
+// construction, and a direct (or parenthesized) method call.
+//
+//hot:path
+func (w *window) deliver(tout int) {
+	w.openWindow(tout, w.closeWindow) // want `method value w\.closeWindow allocates a closure in hot path deliver`
+	if !w.open {
+		w.openWindow(tout, w.expire)
+	}
+	w.closeWindow()
+	(w.closeWindow)()
+	defer w.closeWindow()
+}
+
+// newWindow binds the expiry once; cold code may take method values.
+func newWindow() *window {
+	w := &window{}
+	w.expire = w.closeWindow
+	return w
+}
+
 // schedule registers handlers with the dep kernel; the closure body is
 // hot purely via the imported registersHandler fact.
 func schedule(k *dep.Kernel, id int) {
