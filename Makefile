@@ -141,6 +141,9 @@ fuzz:
 	$(GO) test -fuzz FuzzGridRange -fuzztime 5s ./internal/geo/
 	$(GO) test -fuzz FuzzGridNearest -fuzztime 5s ./internal/geo/
 	$(GO) test -fuzz FuzzParseNodes -fuzztime 5s ./internal/serve/
+	$(GO) test -fuzz FuzzHandleReports -fuzztime 5s ./internal/serve/
+	$(GO) test -fuzz FuzzHandleCreateTenant -fuzztime 5s ./internal/serve/
+	$(GO) test -fuzz FuzzHandleRestore -fuzztime 5s ./internal/serve/
 
 clean:
 	rm -rf figures

@@ -1,6 +1,9 @@
 package experiment
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // TestRunFieldSmoke runs the default field-scale campaign and checks the
 // structural outcomes: the election hit its cluster target and injected
@@ -41,6 +44,27 @@ func TestRunFieldDeterministic(t *testing.T) {
 	}
 	if a != b {
 		t.Fatalf("same seed diverged: %+v vs %+v", a, b)
+	}
+}
+
+// TestRunFieldAllocationPerNode is a deterministic memory backstop for
+// the field path: a node that never senses an event must not pay for a
+// seeded generator (~4.9 KB) it never draws from. Lazy stream state keeps
+// the run near 0.6 KB per node; eager state costs ~6 KB.
+func TestRunFieldAllocationPerNode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("20k-node field run")
+	}
+	cfg := FieldConfig{Nodes: 20000, Events: 5, Seed: 1}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := RunField(cfg); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / uint64(cfg.Nodes); per > 2048 {
+		t.Fatalf("RunField allocates %d B per node, want <= 2048", per)
 	}
 }
 

@@ -35,6 +35,12 @@ import (
 // members.
 const maxBodyBytes = 1 << 20
 
+// maxMembers bounds a tenant's population. A tenant's engine state grows
+// linearly in its members (and shards, which are capped by members), and
+// the config arrives from the network: unbounded,
+// `{"nodes":1000000000000}` would ask for terabytes.
+const maxMembers = 1 << 16
+
 // DefaultUnit is the wall duration of one virtual time unit when the
 // server config leaves it zero: a millisecond, so tenant T_out values
 // read as milliseconds.
@@ -61,7 +67,8 @@ type TenantConfig struct {
 	// units (default 100, i.e. 100 ms at the default unit).
 	Tout float64 `json:"tout,omitempty"`
 	// Members is the explicit node population. When empty, Nodes
-	// generates members 0..Nodes-1 (default 16).
+	// generates members 0..Nodes-1 (default 16). Either holds at most
+	// 65536 members.
 	Members []int `json:"members,omitempty"`
 	Nodes   int   `json:"nodes,omitempty"`
 	// Shards partitions the tenant's members into that many single-writer
@@ -158,6 +165,9 @@ func (s *Server) Unit() time.Duration { return s.unit }
 func (s *Server) CreateTenant(name string, cfg TenantConfig) error {
 	if err := cli.ValidateTenant(name); err != nil {
 		return err
+	}
+	if n := max(cfg.Nodes, len(cfg.Members)); n > maxMembers {
+		return fmt.Errorf("serve: tenant %q: %d members, at most %d allowed", name, n, maxMembers)
 	}
 	cfg = cfg.withDefaults()
 	s.mu.Lock()

@@ -208,6 +208,11 @@ func TestServeTenantLifecycleAndErrors(t *testing.T) {
 	if status != http.StatusBadRequest || !strings.Contains(string(body), "unknown scheme") {
 		t.Fatalf("unknown scheme: HTTP %d: %s", status, body)
 	}
+	// A population past the cap is refused before anything is sized.
+	status, body = do(t, http.MethodPost, ts.URL+"/v1/tenants/beta", []byte(`{"nodes":1000000000000}`))
+	if status != http.StatusBadRequest || !strings.Contains(string(body), "at most 65536") {
+		t.Fatalf("oversized population: HTTP %d: %s, want 400", status, body)
+	}
 	// Unknown tenant across endpoints.
 	for _, probe := range []struct{ method, path string }{
 		{http.MethodPost, "/v1/tenants/ghost/reports"},
