@@ -519,9 +519,10 @@ func (in *Instance) RestoreSealed(blob []byte) error {
 }
 
 // DecisionsSince returns decisions with Seq > since, oldest first. The
-// ring is bounded (Config.DecisionLog): a poller more than the ring
-// capacity behind silently misses the overwritten entries and should
-// resume from the first Seq it receives.
+// ring is bounded (Config.DecisionLog): for a poller more than the ring
+// capacity behind, the first returned Seq exceeds since+1, and the
+// difference is the count of overwritten decisions it missed (the HTTP
+// decision stream reports it as "missed").
 func (in *Instance) DecisionsSince(since uint64) []Decision {
 	in.ringMu.Lock()
 	defer in.ringMu.Unlock()

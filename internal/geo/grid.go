@@ -239,19 +239,15 @@ func (g *Grid) NearestClamped(p Point, clamp float64) (idx int, ok bool) {
 	}
 	clamp2 := clamp * clamp
 	cx, cy := g.virtCellX(p.X), g.virtCellY(p.Y)
-	maxRing := maxInt(maxInt(absInt(cx), absInt(g.cols-1-cx)),
-		maxInt(absInt(cy), absInt(g.rows-1-cy)))
+	first, last := g.ringSpan(cx, cy)
 	best := -1
 	bestE2 := math.Inf(1)
-	for m := 0; m <= maxRing; m++ {
+	for m := first; m <= last; m++ {
 		best, bestE2 = g.scanRing(p, cx, cy, m, clamp2, best, bestE2)
-		if best >= 0 && m >= 2 {
-			// Points in rings > m lie at true distance >= m*cell; the
-			// one-ring slack (m-1 instead of m) absorbs any float
-			// rounding in the bound itself, so ties at the frontier are
-			// still seen and resolved by the (e2, index) comparator.
-			lb := float64(m-1) * g.cell
-			if lb*lb > bestE2 {
+		// Every later point has Dist2 >= lb² > bestE2 >= clamp², so none
+		// can win or tie.
+		if best >= 0 && m >= 1 {
+			if lb := g.ringBound(cx, cy, m); lb*lb > bestE2 {
 				break
 			}
 		}
@@ -276,92 +272,146 @@ func (g *Grid) NearestByDist(p Point, key func(d float64) float64) (idx int, ok 
 		return 0, false
 	}
 	cx, cy := g.virtCellX(p.X), g.virtCellY(p.Y)
-	maxRing := maxInt(maxInt(absInt(cx), absInt(g.cols-1-cx)),
-		maxInt(absInt(cy), absInt(g.rows-1-cy)))
+	first, last := g.ringSpan(cx, cy)
 	best := -1
-	bestKey := math.Inf(1)
-	for m := 0; m <= maxRing; m++ {
-		best, bestKey = g.scanRingBy(p, cx, cy, m, key, best, bestKey)
-		if best >= 0 && m >= 2 {
-			// Rings > m hold points at true distance >= m*cell (one-ring
-			// slack as in NearestClamped); key is monotone, so once even
-			// the slackened bound keys strictly above the incumbent no
-			// later ring can win or tie.
-			if key(float64(m-1)*g.cell) > bestKey {
-				break
-			}
+	bestKey, bestD := math.Inf(1), math.Inf(1)
+	for m := first; m <= last; m++ {
+		best, bestKey, bestD = g.scanRingBy(p, cx, cy, m, key, best, bestKey, bestD)
+		// key is monotone, so once the bound on every later point's
+		// distance keys strictly above the incumbent, none can win or tie.
+		if best >= 0 && m >= 1 && key(g.ringBound(cx, cy, m)) > bestKey {
+			break
 		}
 	}
 	return best, true
 }
 
+// ringSpan returns the first and last Chebyshev rings around virtual cell
+// (cx, cy) that overlap the grid; rings outside that span hold no cells,
+// so a query far outside the field starts at the grid's edge.
+func (g *Grid) ringSpan(cx, cy int) (first, last int) {
+	first = max(outside(cx, g.cols), outside(cy, g.rows))
+	last = max(absInt(cx), absInt(g.cols-1-cx), absInt(cy), absInt(g.rows-1-cy))
+	return first, last
+}
+
+// outside returns how many cells index v lies beyond [0, n).
+func outside(v, n int) int {
+	if v < 0 {
+		return -v
+	}
+	return max(v-n+1, 0)
+}
+
+// ringSlack is the fraction of a cell by which ringBound undercuts the
+// exact ring distance, and ringSlackMaxIndex the index magnitude up to
+// which it is proven to cover float rounding.
+//
+// With u = 2⁻⁵³, a stored point lands in column int(fl(fl(x-min.X)/cell))
+// and the query in cx = floor of the same quotient; the two roundings
+// move the quotient X = (x-min.X)/cell by at most 2.01u·|X|. So a point
+// whose column lies beyond ring m is, in exact arithmetic, more than
+// (m - 2.01u(|Xp|+|Xq|))·cell from the query. Hypot and its differences
+// shrink the computed distance by at most 4.01u relative (Dist2 against
+// lb² by less), and rounding (m-s)·cell grows the bound by at most
+// 2.01u, so the bound holds when s >= 2.01u(|Xp|+|Xq|) + 6.02u·m. Both
+// |Xp|+|Xq| and m are at most B = max(|cx|,|cy|) + max(cols,rows) + 1,
+// so s >= 8.1u·B = 4.05·B·2⁻⁵² suffices. B <= A = |cx|+|cy|+cols+rows,
+// and for A < 2⁴⁰ that is below 2⁻⁹: eight times inside the slack.
+// Farther out the bound keeps one whole cell, which covers B up to
+// ~1.1e15 — past the fuzz targets' reach of 1e9 over cells above 1e-6.
+const (
+	ringSlack         = 1.0 / 64
+	ringSlackMaxIndex = 1 << 40
+)
+
+// ringBound returns a lower bound on the computed distance (Dist, and
+// the square root of Dist2) from the query in virtual cell (cx, cy) to any
+// point in a ring beyond m >= 1: such points lie at least m·cell away in
+// exact arithmetic, less the slack for cell-assignment and distance
+// rounding.
+//
+//hot:path
+func (g *Grid) ringBound(cx, cy, m int) float64 {
+	s := 1.0
+	if absInt(cx)+absInt(cy)+g.cols+g.rows < ringSlackMaxIndex {
+		s = ringSlack
+	}
+	return (float64(m) - s) * g.cell
+}
+
 // scanRingBy is scanRing for the NearestByDist comparator.
 //
 //hot:path
-func (g *Grid) scanRingBy(p Point, cx, cy, m int, key func(d float64) float64, best int, bestKey float64) (int, float64) {
-	if m == 0 {
-		return g.scanCellBy(p, cx, cy, key, best, bestKey)
-	}
-	for y := cy - m; y <= cy+m; y++ {
+func (g *Grid) scanRingBy(p Point, cx, cy, m int, key func(d float64) float64, best int, bestKey, bestD float64) (int, float64, float64) {
+	x0, x1 := max(cx-m, 0), min(cx+m, g.cols-1)
+	for y := max(cy-m, 0); y <= min(cy+m, g.rows-1); y++ {
+		row := y * g.cols
 		if y == cy-m || y == cy+m {
-			for x := cx - m; x <= cx+m; x++ {
-				best, bestKey = g.scanCellBy(p, x, y, key, best, bestKey)
+			for x := x0; x <= x1; x++ {
+				best, bestKey, bestD = g.scanCellBy(p, row+x, key, best, bestKey, bestD)
 			}
-		} else {
-			best, bestKey = g.scanCellBy(p, cx-m, y, key, best, bestKey)
-			best, bestKey = g.scanCellBy(p, cx+m, y, key, best, bestKey)
+			continue
+		}
+		if cx-m >= 0 {
+			best, bestKey, bestD = g.scanCellBy(p, row+cx-m, key, best, bestKey, bestD)
+		}
+		if cx+m < g.cols {
+			best, bestKey, bestD = g.scanCellBy(p, row+cx+m, key, best, bestKey, bestD)
 		}
 	}
-	return best, bestKey
+	return best, bestKey, bestD
 }
 
-// scanCellBy folds one cell's points into the running (key, index) minimum.
+// scanCellBy folds cell c's points into the running (key, index) minimum,
+// whose holder lies at distance bestD. key is non-decreasing, so a point
+// farther than bestD keys at least bestKey and, with a higher index, can
+// neither win nor tie: its key is never evaluated.
 //
 //hot:path
-func (g *Grid) scanCellBy(p Point, x, y int, key func(d float64) float64, best int, bestKey float64) (int, float64) {
-	if x < 0 || x >= g.cols || y < 0 || y >= g.rows {
-		return best, bestKey
-	}
-	c := y*g.cols + x
+func (g *Grid) scanCellBy(p Point, c int, key func(d float64) float64, best int, bestKey, bestD float64) (int, float64, float64) {
 	for _, id := range g.order[g.start[c]:g.start[c+1]] {
-		k := key(g.pts[id].Dist(p))
+		d := g.pts[id].Dist(p)
+		if d > bestD && int(id) > best {
+			continue
+		}
+		k := key(d)
 		//lint:allow floateq deterministic tie-break: equal keys fall through to the smaller index, mirroring the brute first-strict-win loop
 		if k < bestKey || (k == bestKey && int(id) < best) {
-			best, bestKey = int(id), k
+			best, bestKey, bestD = int(id), k, d
 		}
 	}
-	return best, bestKey
+	return best, bestKey, bestD
 }
 
-// scanRing scans the cells at Chebyshev distance m from (cx, cy) in
-// row-major order, folding each candidate into the (e2, index) minimum.
+// scanRing scans the in-grid cells at Chebyshev distance m from (cx, cy)
+// in row-major order, folding each candidate into the (e2, index) minimum.
 //
 //hot:path
 func (g *Grid) scanRing(p Point, cx, cy, m int, clamp2 float64, best int, bestE2 float64) (int, float64) {
-	if m == 0 {
-		return g.scanCell(p, cx, cy, clamp2, best, bestE2)
-	}
-	for y := cy - m; y <= cy+m; y++ {
+	x0, x1 := max(cx-m, 0), min(cx+m, g.cols-1)
+	for y := max(cy-m, 0); y <= min(cy+m, g.rows-1); y++ {
+		row := y * g.cols
 		if y == cy-m || y == cy+m {
-			for x := cx - m; x <= cx+m; x++ {
-				best, bestE2 = g.scanCell(p, x, y, clamp2, best, bestE2)
+			for x := x0; x <= x1; x++ {
+				best, bestE2 = g.scanCell(p, row+x, clamp2, best, bestE2)
 			}
-		} else {
-			best, bestE2 = g.scanCell(p, cx-m, y, clamp2, best, bestE2)
-			best, bestE2 = g.scanCell(p, cx+m, y, clamp2, best, bestE2)
+			continue
+		}
+		if cx-m >= 0 {
+			best, bestE2 = g.scanCell(p, row+cx-m, clamp2, best, bestE2)
+		}
+		if cx+m < g.cols {
+			best, bestE2 = g.scanCell(p, row+cx+m, clamp2, best, bestE2)
 		}
 	}
 	return best, bestE2
 }
 
-// scanCell folds one cell's points into the running (e2, index) minimum.
+// scanCell folds cell c's points into the running (e2, index) minimum.
 //
 //hot:path
-func (g *Grid) scanCell(p Point, x, y int, clamp2 float64, best int, bestE2 float64) (int, float64) {
-	if x < 0 || x >= g.cols || y < 0 || y >= g.rows {
-		return best, bestE2
-	}
-	c := y*g.cols + x
+func (g *Grid) scanCell(p Point, c int, clamp2 float64, best int, bestE2 float64) (int, float64) {
 	for _, id := range g.order[g.start[c]:g.start[c+1]] {
 		e2 := g.pts[id].Dist2(p)
 		if e2 < clamp2 {
@@ -393,11 +443,4 @@ func absInt(v int) int {
 		return -v
 	}
 	return v
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

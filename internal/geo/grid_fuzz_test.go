@@ -68,6 +68,13 @@ func FuzzGridNearest(f *testing.F) {
 	f.Add(int64(1), uint16(50), uint8(0), 2.0, 10.0, 10.0, 0.0)
 	f.Add(int64(3), uint16(400), uint8(2), 7.0, 120.0, -20.0, 1.0)
 	f.Add(int64(-11), uint16(1), uint8(0), 1000.0, 50.0, 50.0, 30.0)
+	// Whole-number cells and queries: ties on cell boundaries.
+	f.Add(int64(5), uint16(64), uint8(2), 1.0, 25.0, 50.0, 1.0)
+	f.Add(int64(8), uint16(511), uint8(4), 2.5, 0.0, 100.0, 0.0)
+	// Queries at the magnitude limit: a lone point over 2e-6 cells puts
+	// the query 5e14 cells out, a capped grid 2e10.
+	f.Add(int64(7), uint16(0), uint8(0), 2e-6, 1e9, -1e9, 0.0)
+	f.Add(int64(2), uint16(200), uint8(3), 2e-6, -1e9, 1e9, 1.0)
 	f.Fuzz(func(t *testing.T, seed int64, count uint16, stride uint8, cell, qx, qy, clamp float64) {
 		if !fuzzOK(cell, qx, qy, clamp) || cell <= 1e-6 || clamp < 0 {
 			t.Skip()

@@ -231,3 +231,160 @@ func TestAutoCell(t *testing.T) {
 		t.Fatalf("AutoCell = %g, want in (0, 50]", c)
 	}
 }
+
+// checkNearest asserts that both nearest queries agree with their brute
+// scans at p and returns the NearestByDist winner.
+func checkNearest(t *testing.T, g *Grid, pts []Point, p Point, clamp float64) int {
+	t.Helper()
+	got, ok := g.NearestClamped(p, clamp)
+	want, wok := bruteNearestClamped(pts, p, clamp)
+	if ok != wok || got != want {
+		t.Fatalf("NearestClamped(%v, %g) cell=%g: grid (%d,%v) != brute (%d,%v)",
+			p, clamp, g.CellSize(), got, ok, want, wok)
+	}
+	got, ok = g.NearestByDist(p, rssKey)
+	want, wok = bruteNearestByDist(pts, p, rssKey)
+	if ok != wok || got != want {
+		t.Fatalf("NearestByDist(%v) cell=%g: grid (%d,%v) != brute (%d,%v)",
+			p, g.CellSize(), got, ok, want, wok)
+	}
+	return got
+}
+
+// TestGridNearestClampPlateau puts several heads within distance 1 of a
+// member, where rssKey's clamp makes their keys tie: the lowest index must
+// win even though it is neither the closest nor in the member's cell.
+func TestGridNearestClampPlateau(t *testing.T) {
+	q := Point{50, 50}
+	pts := []Point{
+		{80, 80},     // 0: far away
+		{50.9, 50},   // 1: d=0.9, lowest index on the plateau
+		{50, 50.1},   // 2: d=0.1, the closest
+		{49.5, 49.8}, // 3
+		{51.5, 50},   // 4: d=1.5, off the plateau
+		{50.3, 49.6}, // 5
+	}
+	g := NewGrid()
+	for _, cell := range []float64{0.05, 0.3, 1, 4, 100} {
+		g.Rebuild(pts, cell)
+		if got := checkNearest(t, g, pts, q, 1); got != 1 {
+			t.Fatalf("cell=%g: NearestByDist = %d, want 1 (lowest index on the clamp plateau)", cell, got)
+		}
+		if got, _ := g.NearestClamped(q, 0); got != 2 {
+			t.Fatalf("cell=%g: unclamped Nearest = %d, want 2", cell, got)
+		}
+	}
+}
+
+// TestGridNearestEqualDistance places eight points at exactly distance 5
+// from the query and rotates which one holds the lowest index, so the
+// winner is sometimes in a ring scanned after an equal-distance rival
+// with a higher index.
+func TestGridNearestEqualDistance(t *testing.T) {
+	q := Point{10, 10}
+	offs := []Point{{3, 4}, {4, -3}, {-3, 4}, {5, 0}, {0, -5}, {-4, -3}, {3, -4}, {-5, 0}}
+	g := NewGrid()
+	for r := range offs {
+		pts := make([]Point, 0, len(offs)+1)
+		for i := range offs {
+			pts = append(pts, q.Add(offs[(i+r)%len(offs)]))
+		}
+		pts = append(pts, Point{30, 30})
+		for _, cell := range []float64{0.7, 1, 2.5, 7, 30} {
+			g.Rebuild(pts, cell)
+			for _, clamp := range []float64{0, 1, 5} {
+				if got := checkNearest(t, g, pts, q, clamp); got != 0 {
+					t.Fatalf("rotation %d cell=%g: winner %d, want 0", r, cell, got)
+				}
+			}
+		}
+	}
+}
+
+// TestGridNearestCellBoundaries lays points and queries exactly on cell
+// boundaries (k·cell), including cells like 0.1 whose multiples round,
+// so cell assignment sits on the edge the ring bound's slack covers.
+func TestGridNearestCellBoundaries(t *testing.T) {
+	g := NewGrid()
+	for _, cell := range []float64{0.1, 1, 2.5, 3} {
+		var pts []Point
+		for j := 0; j < 6; j++ {
+			for k := 0; k < 6; k++ {
+				if (j+2*k)%3 != 0 {
+					pts = append(pts, Point{float64(k) * cell, float64(j) * cell})
+				}
+			}
+		}
+		g.Rebuild(pts, cell)
+		for j := -4; j <= 14; j++ {
+			for k := -4; k <= 14; k++ {
+				q := Point{float64(k) * cell / 2, float64(j) * cell / 2}
+				for _, clamp := range []float64{0, 1, cell} {
+					checkNearest(t, g, pts, q, clamp)
+				}
+			}
+		}
+	}
+}
+
+// TestGridNearestRingFrontier puts the winner just across the edge of
+// ring 2, 1.21 cells from a query that sits on the left edge of its cell,
+// while ring 1 already holds a point 1.39 cells away: the search may stop
+// after ring 1 only for a bound at or below one cell.
+func TestGridNearestRingFrontier(t *testing.T) {
+	pts := []Point{
+		{-5, -5},    // 0: pins the grid origin to whole numbers
+		{1.4, 0.5},  // 1: ring 1, d=1.39
+		{-1.2, 0.5}, // 2: ring 2, d=1.21
+	}
+	g := NewGrid()
+	g.Rebuild(pts, 1)
+	q := Point{0.01, 0.5}
+	for _, clamp := range []float64{0, 1} {
+		if got := checkNearest(t, g, pts, q, clamp); got != 2 {
+			t.Fatalf("clamp=%g: NearestByDist = %d, want 2 from ring 2", clamp, got)
+		}
+	}
+}
+
+// TestGridNearestFarQueries queries at the fuzz targets' magnitude limit
+// (1e9) over cells of 1e-6, where virtual cell indices reach 1e15 and
+// the ring bound must fall back to a whole cell of slack.
+func TestGridNearestFarQueries(t *testing.T) {
+	src := rng.New(5).Split("far")
+	pts := make([]Point, 40)
+	for i := range pts {
+		pts[i] = Point{X: src.Uniform(0, 1e-4), Y: src.Uniform(0, 1e-4)}
+	}
+	pts[7] = pts[3]
+	g := NewGrid()
+	for _, set := range [][]Point{pts[:1], pts} {
+		g.Rebuild(set, 1e-6)
+		for _, q := range []Point{{1e9, 1e9}, {-1e9, 5e-5}, {3e-5, -1e9}, {1e9, -1e9}, {-1e9, -1e9}} {
+			cx, cy := g.virtCellX(q.X), g.virtCellY(q.Y)
+			if lb, want := g.ringBound(cx, cy, 5), 4*g.CellSize(); lb != want {
+				t.Fatalf("ringBound at cell (%d,%d) = %g, want the one-cell fallback %g", cx, cy, lb, want)
+			}
+			for _, clamp := range []float64{0, 1} {
+				checkNearest(t, g, set, q, clamp)
+			}
+		}
+	}
+}
+
+// BenchmarkNearestByDist is one member's affiliation query at field-100k
+// density: 1000 heads over a 1000×1000 field, ~1 head per AutoCell cell,
+// keyed by the path-loss log.
+func BenchmarkNearestByDist(b *testing.B) {
+	src := rng.New(1)
+	heads := randField(src.Split("heads"), 1000, 1000, 0)
+	queries := randField(src.Split("queries"), 4096, 1000, 0)
+	g := NewGrid()
+	g.Rebuild(heads, AutoCell(heads))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nearestSink, _ = g.NearestByDist(queries[i%len(queries)], rssKey)
+	}
+}
+
+var nearestSink int

@@ -22,8 +22,10 @@
 package leach
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/tibfit/tibfit/internal/core"
@@ -304,8 +306,9 @@ func (s *Station) Eligible(nodeID int, threshold float64) bool {
 type Result struct {
 	// Heads are the elected cluster heads, sorted by ID.
 	Heads []int
-	// Affiliation maps every non-head node to its chosen head.
-	Affiliation map[int]int
+	// Affiliation links every non-head node to its chosen head, in the
+	// election's node order.
+	Affiliation []Link
 	// Vetoed lists self-elected candidates the station rejected on trust
 	// grounds this round.
 	Vetoed []int
@@ -316,24 +319,22 @@ type Result struct {
 	Appointed bool
 }
 
-// Clusters groups node IDs by their head, including the head itself.
-// Members are appended in ascending ID order (not map order) so each
-// bucket's backing array is built identically on every run.
+// Link is one member's affiliation: node Node joins head Head (both IDs).
+type Link struct{ Node, Head int }
+
+// Clusters groups node IDs by their head, including the head itself, each
+// bucket sorted ascending. Members are appended in Affiliation's fixed
+// order, so each bucket's backing array is built identically on every run.
 func (r Result) Clusters() map[int][]int {
 	out := make(map[int][]int, len(r.Heads))
 	for _, h := range r.Heads {
 		out[h] = []int{h}
 	}
-	ids := make([]int, 0, len(r.Affiliation))
-	for id := range r.Affiliation {
-		ids = append(ids, id)
+	for _, l := range r.Affiliation {
+		out[l.Head] = append(out[l.Head], l.Node)
 	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		out[r.Affiliation[id]] = append(out[r.Affiliation[id]], id)
-	}
-	for _, members := range out {
-		sort.Ints(members)
+	for _, h := range r.Heads {
+		slices.Sort(out[h])
 	}
 	return out
 }
@@ -417,9 +418,11 @@ func (e *Election) Run() Result {
 	if threshold > 1 {
 		threshold = 1
 	}
+	// heads holds positions in e.nodes; the IDs are read off at the end.
+	var heads []int
 	for attempt := 0; ; attempt++ {
-		var heads []int
-		for _, n := range e.nodes {
+		heads = heads[:0]
+		for i, n := range e.nodes {
 			if !e.eligibleNode(n, cooloff) {
 				continue
 			}
@@ -436,28 +439,32 @@ func (e *Election) Run() Result {
 				res.Vetoed = append(res.Vetoed, n.ID())
 				continue
 			}
-			heads = append(heads, n.ID())
+			heads = append(heads, i)
 		}
 		if len(heads) > 0 && (len(heads) >= e.cfg.MinHeads || attempt >= e.cfg.MaxRetries) {
-			sort.Ints(heads)
-			res.Heads = heads
 			break
 		}
 		if attempt >= e.cfg.MaxRetries {
+			heads = heads[:0]
 			if id, ok := e.appoint(); ok {
-				res.Heads = []int{id}
+				heads = append(heads, slices.IndexFunc(e.nodes, func(n *node.Node) bool { return n.ID() == id }))
 				res.Appointed = true
 			}
 			break
 		}
 		res.Retries++
 	}
-	res.Affiliation = e.affiliate(res.Heads)
-	for _, h := range res.Heads {
-		e.lastled[h] = e.round
-		if n := e.nodeByID(h); n != nil {
-			n.MarkCH()
+	slices.SortFunc(heads, func(a, b int) int { return cmp.Compare(e.nodes[a].ID(), e.nodes[b].ID()) })
+	if len(heads) > 0 {
+		res.Heads = make([]int, len(heads))
+		for k, i := range heads {
+			res.Heads[k] = e.nodes[i].ID()
 		}
+	}
+	res.Affiliation = e.affiliate(heads)
+	for _, i := range heads {
+		e.lastled[e.nodes[i].ID()] = e.round
+		e.nodes[i].MarkCH()
 	}
 	sort.Ints(res.Vetoed)
 	return res
@@ -529,7 +536,8 @@ func (e *Election) MarkLed(id int) {
 
 // affiliate assigns every non-head node to the head whose advertisement it
 // receives most strongly (§2: "affiliates itself with a single CH based on
-// the strength of the signal received").
+// the strength of the signal received"). heads are the heads' positions in
+// e.nodes, in ascending ID order; the links come back in node order.
 //
 // The heads are indexed in a spatial grid and each member runs one
 // nearest query keyed by -RSS(distance) — RSS is non-increasing in
@@ -541,31 +549,26 @@ func (e *Election) MarkLed(id int) {
 // order. This turns O(members × heads) affiliation into
 // O(members × candidate cells) — the difference between hours and
 // seconds on a million-node, ten-thousand-head field.
-func (e *Election) affiliate(heads []int) map[int]int {
-	out := make(map[int]int, len(e.nodes))
+func (e *Election) affiliate(heads []int) []Link {
 	if len(heads) == 0 {
-		return out
+		return nil
 	}
+	bits := make([]uint64, (len(e.nodes)+63)/64)
 	pts := e.headPts[:0]
-	for _, h := range heads {
-		var p geo.Point
-		if n := e.byID[h]; n != nil {
-			p = n.Pos()
-		}
-		pts = append(pts, p)
+	for _, i := range heads {
+		bits[i/64] |= 1 << (i % 64)
+		pts = append(pts, e.nodes[i].Pos())
 	}
 	e.headPts = pts
 	e.headGrid.Rebuild(pts, geo.AutoCell(pts))
 	rssKey := func(d float64) float64 { return -e.channel.RSS(d) }
-	for _, n := range e.nodes {
-		if _, isHead := sort.Find(len(heads), func(i int) int { return n.ID() - heads[i] }); isHead {
+	out := make([]Link, 0, len(e.nodes)-len(heads))
+	for i, n := range e.nodes {
+		if bits[i/64]&(1<<(i%64)) != 0 {
 			continue
 		}
-		idx, ok := e.headGrid.NearestByDist(n.Pos(), rssKey)
-		if !ok {
-			continue
-		}
-		out[n.ID()] = heads[idx]
+		idx, _ := e.headGrid.NearestByDist(n.Pos(), rssKey)
+		out = append(out, Link{Node: n.ID(), Head: e.nodes[heads[idx]].ID()})
 	}
 	return out
 }

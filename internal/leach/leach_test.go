@@ -1,6 +1,7 @@
 package leach
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/tibfit/tibfit/internal/core"
@@ -123,12 +124,18 @@ func TestElectionProducesAHead(t *testing.T) {
 	for _, h := range res.Heads {
 		headSet[h] = true
 	}
+	var members []int
 	for _, n := range nodes {
-		if headSet[n.ID()] {
-			continue
+		if !headSet[n.ID()] {
+			members = append(members, n.ID())
 		}
-		if _, ok := res.Affiliation[n.ID()]; !ok {
-			t.Fatalf("node %d unaffiliated", n.ID())
+	}
+	if len(res.Affiliation) != len(members) {
+		t.Fatalf("affiliation %v, want one link per member %v", res.Affiliation, members)
+	}
+	for k, l := range res.Affiliation {
+		if l.Node != members[k] || !headSet[l.Head] {
+			t.Fatalf("link %d = %+v, want member %d joining a head", k, l, members[k])
 		}
 	}
 }
@@ -225,16 +232,18 @@ func TestAffiliationPicksStrongestSignal(t *testing.T) {
 	station, _ := NewStation(trustParams())
 	e := newElection(t, Config{HeadFraction: 0.2}, station, nodes, 7)
 	aff := e.affiliate([]int{0, 4})
-	// Node 1 (x=10) is nearer head 0; node 3 (x=30) nearer head 4.
-	if aff[1] != 0 || aff[3] != 4 {
-		t.Fatalf("affiliation = %v", aff)
+	// Node 1 (x=10) is nearer head 0; node 3 (x=30) nearer head 4; node 2
+	// (x=20) is equidistant and joins the lower ID.
+	want := []Link{{1, 0}, {2, 0}, {3, 4}}
+	if !slices.Equal(aff, want) {
+		t.Fatalf("affiliation = %v, want %v", aff, want)
 	}
 }
 
 func TestResultClusters(t *testing.T) {
 	res := Result{
 		Heads:       []int{1, 5},
-		Affiliation: map[int]int{2: 1, 3: 5, 4: 5},
+		Affiliation: []Link{{4, 5}, {2, 1}, {3, 5}},
 	}
 	clusters := res.Clusters()
 	if len(clusters[1]) != 2 || len(clusters[5]) != 3 {

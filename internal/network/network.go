@@ -418,12 +418,7 @@ func (n *Network) Recluster() error {
 	n.clusters = make(map[int]*clusterState, len(res.Heads))
 	n.memberOf = make(map[int]int, len(n.nodes))
 	clusters := res.Clusters()
-	heads := make([]int, 0, len(clusters))
-	for head := range clusters {
-		heads = append(heads, head)
-	}
-	sort.Ints(heads)
-	for _, head := range heads {
+	for _, head := range res.Heads {
 		members := clusters[head]
 		cs, err := n.buildCluster(head, members)
 		if err != nil {

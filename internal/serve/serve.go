@@ -483,10 +483,12 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 }
 
 // decisionsReply is the decision-stream page: decisions after ?since,
-// plus the latest sequence number to resume from.
+// the latest sequence number to resume from, and how many decisions
+// after since the bounded ring had already overwritten.
 type decisionsReply struct {
 	Decisions []engine.Decision `json:"decisions"`
 	Latest    uint64            `json:"latest"`
+	Missed    uint64            `json:"missed"`
 }
 
 func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
@@ -503,17 +505,16 @@ func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
 		}
 		since = parsed
 	}
-	ds := t.inst.DecisionsSince(since)
-	latest := since
-	if n := len(ds); n > 0 {
-		latest = ds[n-1].Seq
-	} else if c := t.inst.DecisionCount(); c > latest {
-		latest = c
+	reply := decisionsReply{Decisions: t.inst.DecisionsSince(since), Latest: since}
+	if n := len(reply.Decisions); n > 0 {
+		// The ring returns everything after since it still holds, so a
+		// first seq past since+1 counts overwritten decisions.
+		reply.Latest = reply.Decisions[n-1].Seq
+		reply.Missed = reply.Decisions[0].Seq - since - 1
+	} else {
+		reply.Decisions = []engine.Decision{}
 	}
-	if ds == nil {
-		ds = []engine.Decision{}
-	}
-	writeJSON(w, http.StatusOK, decisionsReply{Decisions: ds, Latest: latest})
+	writeJSON(w, http.StatusOK, reply)
 }
 
 func (s *Server) handleTrust(w http.ResponseWriter, r *http.Request) {

@@ -11,8 +11,11 @@ import (
 	"testing"
 	"time"
 
+	"github.com/tibfit/tibfit/internal/core"
+	"github.com/tibfit/tibfit/internal/decision"
 	"github.com/tibfit/tibfit/internal/engine"
 	"github.com/tibfit/tibfit/internal/metrics"
+	"github.com/tibfit/tibfit/internal/sim"
 )
 
 // testServer mounts a server with a microsecond unit so window expiries
@@ -102,6 +105,56 @@ func TestServeIngestToDecision(t *testing.T) {
 	d := page.Decisions[0]
 	if !d.Occurred || len(d.Reporters) != 3 || len(d.Silent) != 1 {
 		t.Fatalf("decision = %+v, want occurred with 3 reporters, 1 silent", d)
+	}
+}
+
+// TestServeDecisionsReportsMissed overflows a four-entry decision ring
+// and checks that the stream says how many decisions a lagging poller
+// lost instead of skipping them silently.
+func TestServeDecisionsReportsMissed(t *testing.T) {
+	s, ts := testServer(t)
+	k := sim.New()
+	inst, err := engine.New(engine.Config{
+		Scheme: decision.SchemeTIBFIT,
+		Params: decision.Params{Trust: core.Params{Lambda: 0.25, FaultRate: 0.1, RemovalThreshold: 0.5}},
+		Tout:   1, Members: []int{0, 1}, Clock: k, DecisionLog: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if res := inst.ReportMany([]int{0, 1}); res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		k.RunAll()
+	}
+	s.mu.Lock()
+	s.tenants["ring"] = &tenant{name: "ring", inst: inst}
+	s.mu.Unlock()
+
+	for _, tc := range []struct {
+		since, first, missed, latest uint64
+		n                            int
+	}{
+		{since: 0, first: 7, missed: 6, latest: 10, n: 4},
+		{since: 4, first: 7, missed: 2, latest: 10, n: 4},
+		{since: 6, first: 7, missed: 0, latest: 10, n: 4},
+		{since: 8, first: 9, missed: 0, latest: 10, n: 2},
+		{since: 10, missed: 0, latest: 10},
+	} {
+		status, body := do(t, http.MethodGet, fmt.Sprintf("%s/v1/tenants/ring/decisions?since=%d", ts.URL, tc.since), nil)
+		if status != http.StatusOK {
+			t.Fatalf("since=%d: HTTP %d: %s", tc.since, status, body)
+		}
+		var page decisionsReply
+		if err := json.Unmarshal(body, &page); err != nil {
+			t.Fatal(err)
+		}
+		if len(page.Decisions) != tc.n || page.Missed != tc.missed || page.Latest != tc.latest ||
+			(tc.n > 0 && page.Decisions[0].Seq != tc.first) {
+			t.Fatalf("since=%d: page = %s, want %d decisions from seq %d, missed %d, latest %d",
+				tc.since, body, tc.n, tc.first, tc.missed, tc.latest)
+		}
 	}
 }
 
